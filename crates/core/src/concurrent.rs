@@ -2,13 +2,15 @@
 //! `Arc`-shared prepared snapshot, with bounded-queue backpressure and
 //! epoch-swapped graph updates.
 //!
-//! The sequential [`Server`](crate::serve::Server) executes every batch
-//! on the caller's thread and stalls the whole stream while a
-//! [`GraphDelta`] applies in place. This module is the production shape
-//! of the same serve loop, following the read-mostly architecture of
-//! deployed graph-serving systems: a **read path** that shares one
-//! immutable snapshot across N workers, and a **write path** that builds
-//! the post-delta snapshot off to the side and atomically publishes it.
+//! The pool is one of the three runtimes over the serving core in
+//! [`serve`](crate::serve#one-serving-core-three-runtimes): its workers
+//! answer through the same coalesced execute as the sequential
+//! [`Server`](crate::serve::Server), count through the same
+//! [`ServerStats`] methods, and [`ServeHandle::apply_update`] logs
+//! through the same write-ahead step. What the pool adds is concurrency:
+//! a **read path** that shares one immutable snapshot across N workers,
+//! and a **write path** that builds the post-delta snapshot off to the
+//! side and atomically publishes it.
 //!
 //! # Architecture
 //!
@@ -19,9 +21,11 @@
 //!   [`PreparedPredictor::execute`]'s `&self` contract (all per-run state
 //!   is per-call, so workers share nothing but the immutable snapshot).
 //!   A worker grabs up to [`ConcurrentOptions::batch`] queued jobs at
-//!   once and coalesces them into one union-masked run — the same exact
-//!   coalescing as [`Server::serve_batch`](crate::serve::Server::serve_batch),
-//!   so responses stay bit-identical to serving each request alone.
+//!   once and coalesces them into one union-masked run, so responses stay
+//!   bit-identical to serving each request alone. The stream's
+//!   [`ServerStats`] sit behind one mutex; a worker records a batch there
+//!   once it succeeded, with each request's submission-to-response time
+//!   as its latency.
 //! * **Bounded queue, backpressure** — submissions beyond
 //!   [`ConcurrentOptions::queue_capacity`] either block
 //!   ([`ServeHandle::submit`], [`ServeHandle::serve`]) or fail fast with
@@ -40,17 +44,20 @@
 //! duration of a closure, hands it a cloneable [`ServeHandle`], drains
 //! every accepted request when the closure returns, and reports the
 //! stream's [`ServerStats`] — including p50/p95/p99 submission-to-response
-//! latency from the fixed-bucket [`LatencyHistogram`].
+//! latency from the fixed-bucket
+//! [`LatencyHistogram`](crate::serve::LatencyHistogram).
 //!
-//! # When to still use the sequential `Server`
+//! # Why only the pool forks
 //!
-//! [`Server`](crate::serve::Server) remains the right tool when replaying
-//! a recorded stream in program order, when deterministic batch
-//! boundaries matter (benchmarks), or when updates *should* serialize
-//! against predictions. Its in-place [`apply_update`] is also cheaper
-//! than an epoch fork: the fork clones the deployment (memcpy-bound)
-//! before applying the delta incrementally, which is the price of never
-//! stalling readers.
+//! The sequential [`Server`](crate::serve::Server) and every shard own
+//! their snapshot alone, so they apply a delta in place
+//! ([`apply_update`]). The pool is the only runtime with readers
+//! executing against the snapshot while an update lands; the fork clones
+//! the deployment (memcpy-bound) before applying the delta incrementally,
+//! which is the price of never stalling those readers. Use the sequential
+//! server when replaying a recorded stream in program order, when
+//! deterministic batch boundaries matter (benchmarks), or when updates
+//! *should* serialize against predictions.
 //!
 //! [`apply_update`]: crate::serve::Server::apply_update
 //!
@@ -102,10 +109,8 @@ use snaple_store::Durability;
 
 use crate::error::SnapleError;
 use crate::predictor::Prediction;
-use crate::predictor_api::{
-    ExecuteRequest, Predictor, PrepareRequest, PreparedPredictor, QuerySet,
-};
-use crate::serve::{demultiplex, LatencyHistogram, ServerStats};
+use crate::predictor_api::{Predictor, PrepareRequest, PreparedPredictor, QuerySet};
+use crate::serve::{execute_coalesced, write_ahead, ServerStats, Serving};
 
 /// Configuration of a [`ConcurrentServer`] run.
 ///
@@ -199,23 +204,6 @@ struct QueueState {
     open: bool,
 }
 
-/// Counters the workers accumulate; folded into [`ServerStats`] when the
-/// run finishes.
-#[derive(Default)]
-struct Gauges {
-    requests: usize,
-    batches: usize,
-    queries_received: usize,
-    union_queries: usize,
-    simulated_seconds: f64,
-    latency: LatencyHistogram,
-    updates: usize,
-    edges_inserted: usize,
-    edges_removed: usize,
-    delta_apply_seconds: f64,
-    delta_touched_partitions: usize,
-}
-
 /// Everything the workers, submitters and updater share.
 struct Shared<'g> {
     queue: Mutex<QueueState>,
@@ -234,8 +222,9 @@ struct Shared<'g> {
     /// The durability store, when the run persists into a data dir. Only
     /// ever locked while `update_lock` is held, so the commitlog append
     /// is the serialization point before each epoch swap.
-    durability: Option<Mutex<Durability>>,
-    gauges: Mutex<Gauges>,
+    durability: Mutex<Option<Durability>>,
+    /// The stream's statistics, recorded by workers and updaters.
+    stats: Mutex<ServerStats>,
     capacity: usize,
     batch: usize,
     seed: Option<u64>,
@@ -392,45 +381,30 @@ impl ServeHandle<'_, '_> {
     /// Concurrent updaters are serialized so every delta lands (each fork
     /// starts from the previously published epoch).
     ///
-    /// In a [`ConcurrentServer::run_prepared_durable`] run the delta is
-    /// appended to the commitlog between the fork and the swap — the
-    /// write-ahead serialization point: an epoch is never observable
-    /// before its delta is on disk, and a logging failure rejects the
-    /// update while the current epoch keeps serving.
+    /// In a [`ConcurrentServer::run_prepared_durable`] run the delta
+    /// first goes through the serving core's write-ahead step (the same
+    /// one [`Server::apply_update`](crate::serve::Server::apply_update)
+    /// uses), under the update lock so log order matches epoch order: an
+    /// epoch is never observable before its delta is on disk, and a
+    /// logging failure rejects the update while the current epoch keeps
+    /// serving.
     ///
     /// # Errors
     ///
-    /// Propagates [`SnapleError`] from the fork, or
-    /// [`SnapleError::Durability`] when the commitlog append fails; on
-    /// error no swap happens and the current epoch keeps serving.
+    /// [`SnapleError::Durability`] when the commitlog append fails, or
+    /// the fork's [`SnapleError`]; on error no swap happens and the
+    /// current epoch keeps serving.
     pub fn apply_update(&self, delta: &GraphDelta) -> Result<DeltaStats, SnapleError> {
         let _updates_serialized = crate::sync::lock(&self.shared.update_lock);
+        write_ahead(crate::sync::lock(&self.shared.durability).as_mut(), delta)?;
         let current = Arc::clone(&crate::sync::read(&self.shared.snapshot));
         // The expensive part happens here, outside every lock readers use.
         let (forked, applied) = current.prepared.fork_with_delta(delta)?;
-        // Write-ahead: log before the swap (under the update lock, so log
-        // order matches epoch order). On failure the forked snapshot is
-        // dropped and readers never see the unlogged epoch.
-        if let Some(durable) = &self.shared.durability {
-            crate::sync::lock(durable)
-                .record(delta)
-                .map_err(|e| SnapleError::Durability {
-                    message: e.to_string(),
-                })?;
-        }
-        {
-            let mut slot = crate::sync::write(&self.shared.snapshot);
-            *slot = Arc::new(Snapshot {
-                prepared: forked,
-                epoch: current.epoch + 1,
-            });
-        }
-        let mut g = crate::sync::lock(&self.shared.gauges);
-        g.updates += 1;
-        g.edges_inserted += applied.inserted_edges;
-        g.edges_removed += applied.removed_edges;
-        g.delta_apply_seconds += applied.apply_wall_seconds;
-        g.delta_touched_partitions += applied.touched_partitions;
+        *crate::sync::write(&self.shared.snapshot) = Arc::new(Snapshot {
+            prepared: forked,
+            epoch: current.epoch + 1,
+        });
+        crate::sync::lock(&self.shared.stats).record_update(&applied);
         Ok(applied)
     }
 
@@ -452,6 +426,20 @@ impl ServeHandle<'_, '_> {
         while !q.jobs.is_empty() || q.in_flight > 0 {
             q = crate::sync::wait(&self.shared.idle_cv, q);
         }
+    }
+}
+
+impl Serving for ServeHandle<'_, '_> {
+    fn serve_batch(&mut self, requests: &[QuerySet]) -> Result<Vec<Prediction>, SnapleError> {
+        let tickets = requests
+            .iter()
+            .map(|q| self.submit(q))
+            .collect::<Result<Vec<_>, _>>()?;
+        tickets.into_iter().map(PendingPrediction::wait).collect()
+    }
+
+    fn apply_update(&mut self, delta: &GraphDelta) -> Result<DeltaStats, SnapleError> {
+        ServeHandle::apply_update(self, delta)
     }
 }
 
@@ -542,7 +530,7 @@ impl ConcurrentServer {
         durability: Option<Durability>,
         body: impl FnOnce(ServeHandle<'_, 'g>) -> R,
     ) -> (ConcurrentOutcome<R>, Option<SnapleError>) {
-        let setup = prepared.setup().clone();
+        let stats = ServerStats::from_setup(prepared.setup());
         let shared = Shared {
             queue: Mutex::new(QueueState {
                 jobs: VecDeque::with_capacity(options.queue_capacity),
@@ -554,8 +542,8 @@ impl ConcurrentServer {
             idle_cv: Condvar::new(),
             snapshot: RwLock::new(Arc::new(Snapshot { prepared, epoch: 0 })),
             update_lock: Mutex::new(()),
-            durability: durability.map(Mutex::new),
-            gauges: Mutex::new(Gauges::default()),
+            durability: Mutex::new(durability),
+            stats: Mutex::new(stats),
             capacity: options.queue_capacity,
             batch: options.batch,
             seed: options.seed,
@@ -578,36 +566,15 @@ impl ConcurrentServer {
         let serve_wall_seconds = serve_started.elapsed().as_secs_f64();
         // The pool is joined: take the store back, flush the commitlog
         // tail, and fold its counters into the stream stats.
-        let durability = shared.durability.map(crate::sync::into_inner);
-        let gauges = crate::sync::into_inner(shared.gauges);
-        let (durability, sync_err) = match durability {
-            Some(mut durable) => {
-                let err = durable.sync().err().map(|e| SnapleError::Durability {
-                    message: e.to_string(),
-                });
-                (Some(durable), err)
-            }
-            None => (None, None),
-        };
-        let stats = ServerStats {
-            requests: gauges.requests,
-            batches: gauges.batches,
-            queries_received: gauges.queries_received,
-            union_queries: gauges.union_queries,
-            simulated_seconds: gauges.simulated_seconds,
-            serve_wall_seconds,
-            setup_wall_seconds: setup.prepare_wall_seconds,
-            partition_build_seconds: setup.partition_build_seconds,
-            replication_factor: setup.replication_factor,
-            updates: gauges.updates,
-            edges_inserted: gauges.edges_inserted,
-            edges_removed: gauges.edges_removed,
-            delta_apply_seconds: gauges.delta_apply_seconds,
-            delta_touched_partitions: gauges.delta_touched_partitions,
-            latency: gauges.latency,
-            workers: options.workers,
-            durability: durability.as_ref().map(|d| d.stats().clone()),
-        };
+        let mut durability = crate::sync::into_inner(shared.durability);
+        let sync_err = durability
+            .as_mut()
+            .and_then(|d| d.sync().err())
+            .map(SnapleError::from);
+        let mut stats = crate::sync::into_inner(shared.stats);
+        stats.serve_wall_seconds = serve_wall_seconds;
+        stats.workers = options.workers;
+        stats.durability = durability.as_ref().map(|d| d.stats().clone());
         (
             ConcurrentOutcome {
                 value,
@@ -693,7 +660,6 @@ fn worker_loop(shared: &Shared<'_>) {
         // synchronization the read path needs, and it keeps the snapshot
         // alive even if an update swaps the epoch mid-run.
         let snapshot = Arc::clone(&crate::sync::read(&shared.snapshot));
-        let started = Instant::now();
         let requests: Vec<QuerySet> = jobs.iter().map(|j| j.queries.clone()).collect();
         let result = execute_coalesced(
             snapshot.prepared.as_ref(),
@@ -703,19 +669,11 @@ fn worker_loop(shared: &Shared<'_>) {
         );
 
         match result {
-            Ok((responses, union_len, simulated_seconds)) => {
-                let elapsed = started.elapsed().as_secs_f64();
-                let mut g = crate::sync::lock(&shared.gauges);
-                g.requests += requests.len();
-                g.batches += 1;
-                g.queries_received += requests.iter().map(QuerySet::len).sum::<usize>();
-                g.union_queries += union_len;
-                g.simulated_seconds += simulated_seconds;
-                let _ = elapsed; // per-batch wall folds into pool lifetime
-                for job in &jobs {
-                    g.latency.record(job.submitted.elapsed().as_secs_f64());
-                }
-                drop(g);
+            Ok((responses, cost)) => {
+                crate::sync::lock(&shared.stats).record_batch(
+                    &cost,
+                    jobs.iter().map(|j| j.submitted.elapsed().as_secs_f64()),
+                );
                 for (job, response) in jobs.into_iter().zip(responses) {
                     // A dropped ticket just discards the response.
                     let _ = job.reply.send(Ok(response));
@@ -733,29 +691,6 @@ fn worker_loop(shared: &Shared<'_>) {
         // `_in_flight` drops here, returning the batch's count and waking
         // any `drain()` waiter once the pool is idle.
     }
-}
-
-/// Unions the batch's query sets, executes once, and demultiplexes —
-/// exactly [`Server::serve_batch`](crate::serve::Server::serve_batch)'s
-/// shared-run semantics, against an explicit snapshot.
-fn execute_coalesced(
-    prepared: &dyn PreparedPredictor,
-    requests: &[QuerySet],
-    attributes: Option<&[Vec<u32>]>,
-    seed: Option<u64>,
-) -> Result<(Vec<Prediction>, usize, f64), SnapleError> {
-    let union: QuerySet = requests.iter().flat_map(QuerySet::iter).collect();
-    let mut exec = ExecuteRequest::new().with_queries(&union);
-    if let Some(attrs) = attributes {
-        exec = exec.with_attributes(attrs);
-    }
-    if let Some(seed) = seed {
-        exec = exec.with_seed(seed);
-    }
-    let shared_run = prepared.execute(&exec)?;
-    let simulated = shared_run.simulated_seconds();
-    let responses = demultiplex(&shared_run, requests);
-    Ok((responses, union.len(), simulated))
 }
 
 #[cfg(test)]

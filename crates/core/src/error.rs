@@ -4,6 +4,7 @@ use std::error::Error as StdError;
 use std::fmt;
 
 use snaple_gas::EngineError;
+use snaple_store::StoreError;
 
 /// Errors produced while running a SNAPLE prediction.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,6 +80,16 @@ impl StdError for SnapleError {
 impl From<EngineError> for SnapleError {
     fn from(e: EngineError) -> Self {
         SnapleError::Engine(e)
+    }
+}
+
+/// The one mapping of a store failure (commitlog append, checkpoint,
+/// sync) onto the serving error type.
+impl From<StoreError> for SnapleError {
+    fn from(e: StoreError) -> Self {
+        SnapleError::Durability {
+            message: e.to_string(),
+        }
     }
 }
 

@@ -193,7 +193,8 @@
 //! (re-exported here): open a [`store::Durability`] on a data dir and
 //! attach it ([`serve::Server::attach_durability`] /
 //! [`concurrent::ConcurrentServer::run_prepared_durable`]). Every
-//! update then appends to an fsync'd, checksummed commitlog *before*
+//! update then goes through the serving core's one write-ahead step: it
+//! appends to an fsync'd, checksummed commitlog *before*
 //! it applies, and every K updates the store checkpoints a compacted
 //! snapshot. After a crash, [`store::Durability::open`] recovers the
 //! newest valid snapshot plus the log tail — bit-identical to the
@@ -248,8 +249,8 @@
 //! ([`ShardTransport::Processes`]); both speak the same checksummed
 //! binary wire protocol, and both serve rows **bit-identical** to a
 //! single-process [`ConcurrentServer`] — including across
-//! [`GraphDelta`] updates, which broadcast to every shard as local
-//! epoch swaps. A shard that dies mid-flight surfaces as
+//! [`GraphDelta`] updates, which broadcast to every shard and apply
+//! there in place. A shard that dies mid-flight surfaces as
 //! [`SnapleError::ShardFailed`] on the affected requests; the router
 //! keeps serving the surviving shards. See the [`shard`] module docs
 //! for the topology, the wire framing, and the thread/process
@@ -340,7 +341,7 @@ pub use predictor_api::{
     ExecuteRequest, PredictRequest, Predictor, PrepareRequest, PreparedPredictor, QuerySet,
     SetupStats,
 };
-pub use serve::{LatencyHistogram, Server, ServerStats};
+pub use serve::{LatencyHistogram, Server, ServerStats, Serving};
 pub use shard::{
     RouterHandle, ShardOptions, ShardOutcome, ShardRouter, ShardSpec, ShardTransport, WireError,
 };

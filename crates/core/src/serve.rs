@@ -19,60 +19,82 @@
 //!
 //! The served graph does not have to stay frozen: update batches
 //! ([`Server::apply_update`]) interleave with prediction batches, folding
-//! edge insertions/removals into the prepared deployment in place — a
-//! per-delta cost proportional to the delta, not to the graph — while
-//! every subsequent prediction stays bit-identical to a cold rebuild on
-//! the mutated graph.
+//! edge insertions/removals into the prepared deployment — a per-delta
+//! cost proportional to the delta, not to the graph — while every
+//! subsequent prediction stays bit-identical to a cold rebuild on the
+//! mutated graph.
 //!
-//! # Sequential vs concurrent serving
+//! # One serving core, three runtimes
 //!
-//! This module's [`Server`] is **sequential**: one caller thread drives
-//! batches and updates in program order through `&mut self`, and an
-//! update blocks the stream while it applies in place. That is the right
-//! tool for replaying a recorded stream, for benchmarks that want
-//! deterministic batch boundaries, and for single-tenant embedding. For
-//! a *multi-threaded* request load — many callers, updates that must not
-//! stall reads — use
-//! [`ConcurrentServer`](crate::concurrent::ConcurrentServer): a pool of
-//! workers executes against one `Arc`-shared snapshot, a bounded queue
-//! applies backpressure, and updates publish epoch forks instead of
-//! mutating in place (see the [concurrent module
-//! docs](crate::concurrent)). Both layers produce bit-identical rows for
-//! the same requests and seed.
+//! Three runtimes serve a stream: this module's sequential [`Server`]
+//! (one caller thread drives batches and updates in program order), the
+//! [`ConcurrentServer`](crate::concurrent::ConcurrentServer) worker pool
+//! (N threads over one `Arc`-shared snapshot behind a bounded queue), and
+//! the [`ShardRouter`](crate::shard::ShardRouter) (a scatter-gather front
+//! end over N shard runtimes, each of which is a sequential `Server`).
+//! The work they all repeat lives here, once:
 //!
-//! Either way, [`ServerStats`] tracks the stream: throughput, coalescing,
-//! per-request latency percentiles from a fixed-bucket
-//! [`LatencyHistogram`] (no per-request allocation), and cumulative
-//! update costs — all exportable as one `BENCH_JSON` line.
+//! * **Execute.** `execute_coalesced` unions a batch's query sets, builds
+//!   the [`ExecuteRequest`] with the stream's seed and attributes,
+//!   executes once and demultiplexes the rows per request.
+//!   [`Server::serve_batch`] and every pool worker call it; shards reach
+//!   it through their `Server`. All three therefore return bit-identical
+//!   rows for the same requests and seed.
+//! * **Count.** [`ServerStats`]' `record_batch` and `record_update` are
+//!   the only code that counts requests, queries, union size, simulated
+//!   seconds, latency and delta effects. A batch is counted only after it
+//!   succeeded and an update only after it applied, so a failing request
+//!   counts nothing in any runtime. The runtimes differ only in what they
+//!   pass as latency (the batch's wall time here, submission-to-response
+//!   in the pool and the router) and in [`ServerStats::serve_wall_seconds`]
+//!   (summed batch time here, the pool's or fleet's lifetime otherwise).
+//! * **Write ahead.** `write_ahead` appends a delta to the attached
+//!   commitlog before anything applies it; together with the
+//!   `From<StoreError>` conversion it is the one place a durability
+//!   failure becomes [`SnapleError::Durability`]. [`Server::apply_update`]
+//!   and [`ServeHandle::apply_update`](crate::concurrent::ServeHandle::apply_update)
+//!   both go through it.
+//! * **Drive.** The [`Serving`] trait — implemented by [`Server`],
+//!   [`ServeHandle`](crate::concurrent::ServeHandle) and
+//!   [`RouterHandle`](crate::shard::RouterHandle) — is the
+//!   request/update contract one driver loop (`snaple-cli serve`) uses
+//!   without knowing which runtime is behind it.
+//!
+//! Wherever one thread owns a snapshot alone — the sequential `Server`
+//! and every shard — an update applies **in place**
+//! ([`PreparedPredictor::apply_delta`]). Only the worker pool forks an
+//! epoch ([`PreparedPredictor::fork_with_delta`]) and swaps it in,
+//! because only the pool has readers executing against the snapshot
+//! while an update lands; the fork clones the deployment, which is the
+//! price of never stalling them.
 //!
 //! # Restartable serving
 //!
 //! Attach a [`snaple_store::Durability`] store
-//! ([`Server::attach_durability`]) and the server becomes restartable:
-//! every [`Server::apply_update`] appends the delta to an fsync'd,
-//! checksummed commitlog *before* applying it (write-ahead — a logging
-//! failure rejects the update and leaves serving state unchanged), and
-//! every K logged deltas the store checkpoints a compacted snapshot of
-//! the graph. After a crash, [`snaple_store::Durability::open`] recovers
-//! the newest valid snapshot (falling back to older ones past checksum
+//! ([`Server::attach_durability`], or
+//! [`ConcurrentServer::run_prepared_durable`](crate::concurrent::ConcurrentServer::run_prepared_durable)
+//! for the pool) and the runtime becomes restartable: every update goes
+//! through the write-ahead step — the delta is appended to an fsync'd,
+//! checksummed commitlog *before* it applies, so a logging failure
+//! rejects the update and leaves the serving state unchanged — and every
+//! K logged deltas the store checkpoints a compacted snapshot of the
+//! graph. After a crash, [`snaple_store::Durability::open`] recovers the
+//! newest valid snapshot (falling back to older ones past checksum
 //! failures) plus the commitlog tail, handing back replay deltas that
 //! reproduce the pre-crash graph **bit-identically**. The recovery
 //! protocol:
 //!
 //! 1. `Durability::open(dir, base, config, opts)` → recovered graph +
 //!    replay deltas + a [`snaple_store::RecoveryReport`].
-//! 2. Prepare the predictor on the *recovered* graph, wrap it in a
-//!    `Server`, and apply the replay deltas through
-//!    [`Server::apply_update`] — **before** attaching, so they are not
+//! 2. Prepare the predictor on the *recovered* graph and apply the
+//!    replay deltas (through [`Server::apply_update`], or
+//!    [`PreparedPredictor::apply_delta`] before handing the prepared
+//!    predictor to the pool) — **before** attaching, so they are not
 //!    re-logged.
-//! 3. [`Server::attach_durability`] — subsequent updates persist.
+//! 3. Attach the store — subsequent updates persist.
 //!
-//! With no store attached the durability path is a `None` check — the
-//! ephemeral serve loop is unchanged. The concurrent layer persists the
-//! same way via
-//! [`ConcurrentServer::run_prepared_durable`](crate::concurrent::ConcurrentServer::run_prepared_durable),
-//! where the commitlog append is the serialization point before each
-//! epoch swap.
+//! With no store attached the write-ahead step is a `None` check — the
+//! ephemeral serve loop is unchanged.
 //!
 //! ```
 //! use snaple_core::serve::Server;
@@ -104,7 +126,7 @@ use snaple_store::{Durability, DurabilityStats};
 use crate::error::SnapleError;
 use crate::predictor::Prediction;
 use crate::predictor_api::{
-    ExecuteRequest, Predictor, PrepareRequest, PreparedPredictor, QuerySet,
+    ExecuteRequest, Predictor, PrepareRequest, PreparedPredictor, QuerySet, SetupStats,
 };
 
 /// Number of power-of-two latency buckets: bucket `i` covers
@@ -161,8 +183,8 @@ impl LatencyHistogram {
         self.total == 0
     }
 
-    /// Folds another histogram into this one (used to aggregate per-worker
-    /// and per-shard recordings).
+    /// Folds another histogram into this one, e.g. to aggregate
+    /// recordings taken in separate processes.
     ///
     /// Buckets are positional and every histogram uses the same
     /// power-of-two-microsecond bucket boundaries, so merging is exact:
@@ -230,8 +252,13 @@ impl LatencyHistogram {
     }
 }
 
-/// Aggregate statistics of a request stream served by a [`Server`] or a
-/// [`ConcurrentServer`](crate::concurrent::ConcurrentServer).
+/// Aggregate statistics of a request stream served by a [`Server`], a
+/// [`ConcurrentServer`](crate::concurrent::ConcurrentServer) or a
+/// [`ShardRouter`](crate::shard::ShardRouter).
+///
+/// Every runtime counts through the same two methods (`record_batch`,
+/// `record_update`), so the counters mean the same thing whichever
+/// runtime served the stream.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ServerStats {
     /// Requests answered.
@@ -261,17 +288,18 @@ pub struct ServerStats {
     pub edges_inserted: usize,
     /// Edge removals applied across all updates.
     pub edges_removed: usize,
-    /// Host wall-clock seconds spent applying deltas in place — the cost
-    /// the incremental path pays *instead of* a full re-prepare per
-    /// update.
+    /// Host wall-clock seconds spent applying deltas — the cost the
+    /// incremental path pays *instead of* a full re-prepare per update.
     pub delta_apply_seconds: f64,
-    /// Cumulative count of vertex-cut partitions the updates touched.
+    /// Cumulative count of vertex-cut partitions the updates touched
+    /// (summed over updates).
     pub delta_touched_partitions: usize,
     /// Per-request latency histogram (submission-to-response for the
-    /// concurrent server, batch wall time for the sequential one).
+    /// worker pool and the shard router, batch wall time for the
+    /// sequential server).
     pub latency: LatencyHistogram,
-    /// Worker threads that served the stream (`0` for the sequential
-    /// in-thread [`Server`]).
+    /// Worker threads (or shards) that served the stream (`0` for the
+    /// sequential in-thread [`Server`]).
     pub workers: usize,
     /// Durability counters and the recovery report, when the server
     /// persists into a data dir (`None` = ephemeral serving, zero
@@ -280,7 +308,58 @@ pub struct ServerStats {
     pub durability: Option<DurabilityStats>,
 }
 
+/// What one answered batch adds to [`ServerStats`] besides its
+/// per-request latencies.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct BatchCost {
+    /// Sum of the batch's per-request query counts.
+    pub(crate) queries_received: usize,
+    /// Size of the executed union mask.
+    pub(crate) union_queries: usize,
+    /// Simulated cluster seconds of the shared run.
+    pub(crate) simulated_seconds: f64,
+}
+
 impl ServerStats {
+    /// An empty ledger carrying the prepared deployment's setup figures.
+    pub(crate) fn from_setup(setup: &SetupStats) -> Self {
+        ServerStats {
+            setup_wall_seconds: setup.prepare_wall_seconds,
+            partition_build_seconds: setup.partition_build_seconds,
+            replication_factor: setup.replication_factor,
+            ..ServerStats::default()
+        }
+    }
+
+    /// Counts one successfully answered batch: one request per latency
+    /// sample (in seconds), plus the batch's query and simulated-time
+    /// cost. The only place requests, queries, union size, simulated
+    /// seconds and latency are counted.
+    pub(crate) fn record_batch(
+        &mut self,
+        cost: &BatchCost,
+        latencies: impl IntoIterator<Item = f64>,
+    ) {
+        for seconds in latencies {
+            self.requests += 1;
+            self.latency.record(seconds);
+        }
+        self.batches += 1;
+        self.queries_received += cost.queries_received;
+        self.union_queries += cost.union_queries;
+        self.simulated_seconds += cost.simulated_seconds;
+    }
+
+    /// Counts one successfully applied update. The only place delta
+    /// effects are counted.
+    pub(crate) fn record_update(&mut self, applied: &DeltaStats) {
+        self.updates += 1;
+        self.edges_inserted += applied.inserted_edges;
+        self.edges_removed += applied.removed_edges;
+        self.delta_apply_seconds += applied.apply_wall_seconds;
+        self.delta_touched_partitions += applied.touched_partitions;
+    }
+
     /// Requests answered per host wall-clock second of serving.
     pub fn throughput_rps(&self) -> f64 {
         if self.serve_wall_seconds > 0.0 {
@@ -290,77 +369,14 @@ impl ServerStats {
         }
     }
 
-    /// Mean host latency per request in seconds (batch cost split evenly
-    /// across its requests).
-    pub fn mean_latency_seconds(&self) -> f64 {
-        if self.requests > 0 {
-            self.serve_wall_seconds / self.requests as f64
-        } else {
-            0.0
-        }
-    }
-
-    /// Folds the statistics of a runtime that ran **in parallel** with
-    /// this one — a shard of a
-    /// [`ShardRouter`](crate::shard::ShardRouter) deployment — into this
-    /// aggregate.
-    ///
-    /// Throughput counters (requests, batches, queries, updates, edge
-    /// counts, worker threads) add up; wall-clock and simulated durations
-    /// take the **maximum** because concurrent runtimes overlap in time —
-    /// summing them would double-count the wall. Deployment-shape gauges
-    /// (replication factor, partitions touched by deltas) also take the
-    /// maximum: each shard holds a full snapshot, so the per-shard values
-    /// describe the same deployment. Latency histograms merge exactly
-    /// ([`LatencyHistogram::merge`]).
-    pub fn merge_parallel(&mut self, other: &ServerStats) {
-        self.requests += other.requests;
-        self.batches += other.batches;
-        self.queries_received += other.queries_received;
-        self.union_queries += other.union_queries;
-        self.simulated_seconds = self.simulated_seconds.max(other.simulated_seconds);
-        self.serve_wall_seconds = self.serve_wall_seconds.max(other.serve_wall_seconds);
-        self.setup_wall_seconds = self.setup_wall_seconds.max(other.setup_wall_seconds);
-        self.partition_build_seconds = self
-            .partition_build_seconds
-            .max(other.partition_build_seconds);
-        self.replication_factor = self.replication_factor.max(other.replication_factor);
-        self.updates += other.updates;
-        self.edges_inserted += other.edges_inserted;
-        self.edges_removed += other.edges_removed;
-        self.delta_apply_seconds = self.delta_apply_seconds.max(other.delta_apply_seconds);
-        self.delta_touched_partitions = self
-            .delta_touched_partitions
-            .max(other.delta_touched_partitions);
-        self.latency.merge(&other.latency);
-        self.workers += other.workers;
-        match (&mut self.durability, &other.durability) {
-            (Some(mine), Some(theirs)) => {
-                mine.logged_deltas += theirs.logged_deltas;
-                mine.logged_bytes += theirs.logged_bytes;
-                mine.fsyncs += theirs.fsyncs;
-                mine.snapshots_written += theirs.snapshots_written;
-                mine.log_wall_seconds = mine.log_wall_seconds.max(theirs.log_wall_seconds);
-                mine.snapshot_wall_seconds =
-                    mine.snapshot_wall_seconds.max(theirs.snapshot_wall_seconds);
-                if mine.recovery.is_none() {
-                    mine.recovery = theirs.recovery.clone();
-                }
-            }
-            (None, Some(theirs)) => self.durability = Some(theirs.clone()),
-            _ => {}
-        }
-    }
-
     /// How many received queries each executed union query stood for
     /// (1.0 = no overlap between coalesced requests).
     ///
     /// Guarded against the zero-denominator stream shapes BENCH_JSON must
     /// never see as `NaN`/`inf`: update-only streams and all-empty
     /// batches execute zero union queries and report `1.0` (no
-    /// coalescing), mirroring [`ServerStats::throughput_rps`] and
-    /// [`ServerStats::mean_latency_seconds`] reporting `0.0` on their
-    /// zero denominators.
+    /// coalescing), mirroring [`ServerStats::throughput_rps`] reporting
+    /// `0.0` on its zero denominator.
     pub fn coalescing_factor(&self) -> f64 {
         if self.union_queries > 0 {
             self.queries_received as f64 / self.union_queries as f64
@@ -396,14 +412,13 @@ impl ServerStats {
             None => String::new(),
         };
         format!(
-            "{} requests in {} batches{workers}: {:.1} req/s, {:.2} ms mean latency \
-             (p50/p95/p99 {:.2}/{:.2}/{:.2} ms), \
+            "{} requests in {} batches{workers}: {:.1} req/s, \
+             latency p50/p95/p99 {:.2}/{:.2}/{:.2} ms, \
              coalescing {:.2}x, setup {:.1} ms ({:.1} ms partition build), \
              {:.2} simulated s{updates}{durability}",
             self.requests,
             self.batches,
             self.throughput_rps(),
-            self.mean_latency_seconds() * 1e3,
             self.latency.p50() * 1e3,
             self.latency.p95() * 1e3,
             self.latency.p99() * 1e3,
@@ -420,7 +435,7 @@ impl ServerStats {
             "{{\"name\":\"{name}\",\"requests\":{},\"batches\":{},\"workers\":{},\
              \"serve_wall_seconds\":{:.6},\"setup_wall_seconds\":{:.6},\
              \"partition_build_seconds\":{:.6},\"throughput_rps\":{:.2},\
-             \"mean_latency_ms\":{:.4},\"latency_p50_ms\":{:.4},\
+             \"latency_p50_ms\":{:.4},\
              \"latency_p95_ms\":{:.4},\"latency_p99_ms\":{:.4},\
              \"coalescing\":{:.3},\
              \"simulated_seconds\":{:.4},\"replication_factor\":{:.3},\
@@ -433,7 +448,6 @@ impl ServerStats {
             self.setup_wall_seconds,
             self.partition_build_seconds,
             self.throughput_rps(),
-            self.mean_latency_seconds() * 1e3,
             self.latency.p50() * 1e3,
             self.latency.p95() * 1e3,
             self.latency.p99() * 1e3,
@@ -463,6 +477,30 @@ impl ServerStats {
             }
         }
     }
+}
+
+/// The request/update contract every serving runtime implements: the
+/// sequential [`Server`], the worker pool's
+/// [`ServeHandle`](crate::concurrent::ServeHandle) and the shard router's
+/// [`RouterHandle`](crate::shard::RouterHandle). One driver loop serves a
+/// stream through any of them and gets bit-identical rows.
+pub trait Serving {
+    /// Answers `requests`, in order. The sequential server coalesces them
+    /// into one shared run; a pool or router submits them all before
+    /// waiting, so its workers or shards share the work.
+    ///
+    /// # Errors
+    ///
+    /// The first failing request's [`SnapleError`].
+    fn serve_batch(&mut self, requests: &[QuerySet]) -> Result<Vec<Prediction>, SnapleError>;
+
+    /// Applies one graph update; requests answered afterwards see the
+    /// mutated graph.
+    ///
+    /// # Errors
+    ///
+    /// The runtime's [`SnapleError`]; a rejected update counts nothing.
+    fn apply_update(&mut self, delta: &GraphDelta) -> Result<DeltaStats, SnapleError>;
 }
 
 /// Serves a stream of [`QuerySet`] requests against one prepared
@@ -500,13 +538,7 @@ impl<'a> Server<'a> {
     /// Wraps an already-prepared predictor (e.g. one shared with other
     /// consumers of the deployment).
     pub fn from_prepared(prepared: Box<dyn PreparedPredictor + 'a>) -> Self {
-        let setup = prepared.setup();
-        let stats = ServerStats {
-            setup_wall_seconds: setup.prepare_wall_seconds,
-            partition_build_seconds: setup.partition_build_seconds,
-            replication_factor: setup.replication_factor,
-            ..ServerStats::default()
-        };
+        let stats = ServerStats::from_setup(prepared.setup());
         Server {
             prepared,
             attributes: None,
@@ -541,9 +573,7 @@ impl<'a> Server<'a> {
     /// Surfaces the flush failure as [`SnapleError::Durability`].
     pub fn sync_durability(&mut self) -> Result<(), SnapleError> {
         if let Some(durable) = self.durability.as_mut() {
-            durable.sync().map_err(|e| SnapleError::Durability {
-                message: e.to_string(),
-            })?;
+            durable.sync()?;
             self.stats.durability = Some(durable.stats().clone());
         }
         Ok(())
@@ -586,17 +616,9 @@ impl<'a> Server<'a> {
     /// Propagates [`SnapleError`] from the underlying apply; on error the
     /// update is not counted.
     pub fn apply_update(&mut self, delta: &GraphDelta) -> Result<DeltaStats, SnapleError> {
-        if let Some(durable) = self.durability.as_mut() {
-            durable.record(delta).map_err(|e| SnapleError::Durability {
-                message: e.to_string(),
-            })?;
-        }
+        write_ahead(self.durability.as_mut(), delta)?;
         let applied = self.prepared.apply_delta(delta)?;
-        self.stats.updates += 1;
-        self.stats.edges_inserted += applied.inserted_edges;
-        self.stats.edges_removed += applied.removed_edges;
-        self.stats.delta_apply_seconds += applied.apply_wall_seconds;
-        self.stats.delta_touched_partitions += applied.touched_partitions;
+        self.stats.record_update(&applied);
         if let Some(durable) = self.durability.as_ref() {
             self.stats.durability = Some(durable.stats().clone());
         }
@@ -640,43 +662,66 @@ impl<'a> Server<'a> {
             return Ok(Vec::new());
         }
         let started = Instant::now();
-        let union: QuerySet = requests.iter().flat_map(QuerySet::iter).collect();
-        let mut exec = ExecuteRequest::new().with_queries(&union);
-        if let Some(attrs) = self.attributes {
-            exec = exec.with_attributes(attrs);
-        }
-        if let Some(seed) = self.seed {
-            exec = exec.with_seed(seed);
-        }
-        let shared = self.prepared.execute(&exec)?;
-        let responses = demultiplex(&shared, requests);
-
-        // Stats are recorded only after a successful run: a failing batch
-        // returned above and left every counter (and the latency
-        // histogram) untouched, so BENCH_JSON never counts work that
-        // produced no responses.
+        let (responses, cost) =
+            execute_coalesced(self.prepared.as_ref(), requests, self.attributes, self.seed)?;
         let elapsed = started.elapsed().as_secs_f64();
-        self.stats.requests += requests.len();
-        self.stats.batches += 1;
-        self.stats.queries_received += requests.iter().map(QuerySet::len).sum::<usize>();
-        self.stats.union_queries += union.len();
-        self.stats.simulated_seconds += shared.simulated_seconds();
         self.stats.serve_wall_seconds += elapsed;
-        for _ in requests {
-            // Every request of the batch waited for the whole shared run.
-            self.stats.latency.record(elapsed);
-        }
+        // Every request of the batch waited for the whole shared run.
+        self.stats
+            .record_batch(&cost, requests.iter().map(|_| elapsed));
         Ok(responses)
     }
 }
 
-/// Demultiplexes one shared coalesced run back into per-request
-/// [`Prediction`]s: each response carries exactly its request's rows (all
-/// other rows empty) plus a copy of the shared run's statistics. Shared
-/// by the sequential [`Server`] and the concurrent worker pool so both
-/// layers return byte-identical responses for the same batch.
-pub(crate) fn demultiplex(shared: &Prediction, requests: &[QuerySet]) -> Vec<Prediction> {
-    requests
+impl Serving for Server<'_> {
+    fn serve_batch(&mut self, requests: &[QuerySet]) -> Result<Vec<Prediction>, SnapleError> {
+        Server::serve_batch(self, requests)
+    }
+
+    fn apply_update(&mut self, delta: &GraphDelta) -> Result<DeltaStats, SnapleError> {
+        Server::apply_update(self, delta)
+    }
+}
+
+/// The write-ahead step of every serving runtime: appends `delta` to the
+/// attached commitlog (a no-op when ephemeral) *before* the caller
+/// applies it, so a logging failure rejects the update while the serving
+/// state is still unchanged.
+pub(crate) fn write_ahead(
+    durability: Option<&mut Durability>,
+    delta: &GraphDelta,
+) -> Result<(), SnapleError> {
+    if let Some(durable) = durability {
+        durable.record(delta)?;
+    }
+    Ok(())
+}
+
+/// The coalesced execute every runtime answers a batch through: unions
+/// the batch's query sets into one mask, executes once with the stream's
+/// `attributes` and `seed`, and demultiplexes — each response carries
+/// exactly its request's rows (all other rows empty) plus a copy of the
+/// shared run's statistics.
+///
+/// # Errors
+///
+/// Propagates [`SnapleError`] from the execute; nothing is counted.
+pub(crate) fn execute_coalesced(
+    prepared: &dyn PreparedPredictor,
+    requests: &[QuerySet],
+    attributes: Option<&[Vec<u32>]>,
+    seed: Option<u64>,
+) -> Result<(Vec<Prediction>, BatchCost), SnapleError> {
+    let union: QuerySet = requests.iter().flat_map(QuerySet::iter).collect();
+    let mut exec = ExecuteRequest::new().with_queries(&union);
+    if let Some(attrs) = attributes {
+        exec = exec.with_attributes(attrs);
+    }
+    if let Some(seed) = seed {
+        exec = exec.with_seed(seed);
+    }
+    let shared = prepared.execute(&exec)?;
+    let responses = requests
         .iter()
         .map(|request| {
             let mut rows: Vec<Vec<(VertexId, f32)>> = vec![Vec::new(); shared.num_vertices()];
@@ -685,7 +730,13 @@ pub(crate) fn demultiplex(shared: &Prediction, requests: &[QuerySet]) -> Vec<Pre
             }
             Prediction::from_parts(rows, shared.stats.clone())
         })
-        .collect()
+        .collect();
+    let cost = BatchCost {
+        queries_received: requests.iter().map(QuerySet::len).sum(),
+        union_queries: union.len(),
+        simulated_seconds: shared.simulated_seconds(),
+    };
+    Ok((responses, cost))
 }
 
 #[cfg(test)]
@@ -777,65 +828,6 @@ mod tests {
     }
 
     #[test]
-    fn server_stats_parallel_merge_sums_counters_and_maxes_walls() {
-        let mut a = ServerStats {
-            requests: 10,
-            batches: 4,
-            queries_received: 100,
-            union_queries: 90,
-            simulated_seconds: 2.0,
-            serve_wall_seconds: 1.0,
-            setup_wall_seconds: 0.5,
-            partition_build_seconds: 0.4,
-            replication_factor: 1.5,
-            updates: 2,
-            edges_inserted: 20,
-            edges_removed: 5,
-            delta_apply_seconds: 0.1,
-            delta_touched_partitions: 3,
-            workers: 1,
-            ..ServerStats::default()
-        };
-        a.latency.record(10e-6);
-        let mut b = ServerStats {
-            requests: 6,
-            batches: 6,
-            queries_received: 60,
-            union_queries: 60,
-            simulated_seconds: 3.0,
-            serve_wall_seconds: 0.8,
-            setup_wall_seconds: 0.7,
-            partition_build_seconds: 0.2,
-            replication_factor: 1.2,
-            updates: 2,
-            edges_inserted: 7,
-            edges_removed: 1,
-            delta_apply_seconds: 0.3,
-            delta_touched_partitions: 8,
-            workers: 1,
-            ..ServerStats::default()
-        };
-        b.latency.record(50e-3);
-        a.merge_parallel(&b);
-        assert_eq!(a.requests, 16);
-        assert_eq!(a.batches, 10);
-        assert_eq!(a.queries_received, 160);
-        assert_eq!(a.union_queries, 150);
-        assert_eq!(a.simulated_seconds, 3.0); // parallel: critical path
-        assert_eq!(a.serve_wall_seconds, 1.0);
-        assert_eq!(a.setup_wall_seconds, 0.7);
-        assert_eq!(a.partition_build_seconds, 0.4);
-        assert_eq!(a.replication_factor, 1.5);
-        assert_eq!(a.updates, 4);
-        assert_eq!(a.edges_inserted, 27);
-        assert_eq!(a.edges_removed, 6);
-        assert_eq!(a.delta_apply_seconds, 0.3);
-        assert_eq!(a.delta_touched_partitions, 8);
-        assert_eq!(a.workers, 2);
-        assert_eq!(a.latency.count(), 2);
-    }
-
-    #[test]
     fn batched_responses_are_bit_identical_to_individual_predicts() {
         let (graph, cluster, snaple) = setup();
         let requests: Vec<QuerySet> = (0..5)
@@ -894,7 +886,6 @@ mod tests {
         assert_eq!(stats.union_queries, 100);
         assert!((stats.coalescing_factor() - 1.5).abs() < 1e-12);
         assert!(stats.throughput_rps() > 0.0);
-        assert!(stats.mean_latency_seconds() > 0.0);
         assert!(stats.simulated_seconds > 0.0);
         let json = stats.to_bench_json("unit");
         assert!(json.starts_with("{\"name\":\"unit\""), "{json}");
@@ -908,7 +899,6 @@ mod tests {
         // (no 0/0 NaN) and the BENCH_JSON line must carry no NaN/inf.
         let stats = ServerStats::default();
         assert_eq!(stats.throughput_rps(), 0.0);
-        assert_eq!(stats.mean_latency_seconds(), 0.0);
         assert_eq!(stats.coalescing_factor(), 1.0);
         let json = stats.to_bench_json("empty-stream");
         assert!(!json.contains("NaN") && !json.contains("nan"), "{json}");
@@ -952,7 +942,6 @@ mod tests {
             ..ServerStats::default()
         };
         assert_eq!(stats.throughput_rps(), 0.0, "0-second stream is 0 rps");
-        assert_eq!(stats.mean_latency_seconds(), 0.0);
         assert_eq!(stats.coalescing_factor(), 1.0);
         let json = stats.to_bench_json("zero-wall");
         assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
@@ -1065,9 +1054,8 @@ mod tests {
     fn update_only_streams_emit_finite_stats() {
         // Regression for the zero-denominator class: a stream containing
         // only update requests executes zero queries and zero batches, so
-        // coalescing_factor (received/union), throughput_rps and
-        // mean_latency_seconds all sit on 0/0 holes. BENCH_JSON must see
-        // finite numbers, not inf/NaN.
+        // coalescing_factor (received/union) and throughput_rps both sit
+        // on 0/0 holes. BENCH_JSON must see finite numbers, not inf/NaN.
         let (graph, cluster, snaple) = setup();
         let mut server = Server::new(&snaple, &graph, &cluster).unwrap();
         let n = graph.num_vertices() as u32;
@@ -1084,7 +1072,6 @@ mod tests {
         assert_eq!(stats.updates, 2);
         assert_eq!(stats.coalescing_factor(), 1.0, "0/0 must not be NaN");
         assert_eq!(stats.throughput_rps(), 0.0);
-        assert_eq!(stats.mean_latency_seconds(), 0.0);
         assert_eq!(stats.latency.p50(), 0.0, "empty histogram percentiles");
         assert_eq!(stats.latency.p99(), 0.0);
         let json = stats.to_bench_json("update-only");

@@ -22,8 +22,10 @@
 //! the gathered rows union into exactly what one big server would
 //! produce (sub-queries run as masked supersteps, which are exact by
 //! construction). Updates **broadcast**: every shard folds the same
-//! [`GraphDelta`](snaple_graph::GraphDelta) into its snapshot as a
-//! shard-local epoch swap, keeping all replicas identical.
+//! [`GraphDelta`](snaple_graph::GraphDelta) into its snapshot in place,
+//! keeping all replicas identical. Each shard is a sequential
+//! [`Server`](crate::serve::Server) behind the wire, so shards serve
+//! through the same core as the other runtimes.
 //!
 //! # Wire framing
 //!

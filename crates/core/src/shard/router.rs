@@ -10,8 +10,14 @@
 //! ([`ShardAssignment::shard_of_vertex`]), so sub-queries are disjoint
 //! and the gathered rows union into exactly the rows a single-process
 //! server would produce. Updates **broadcast**: every shard applies the
-//! same delta as a shard-local epoch fork, keeping all snapshots
-//! identical.
+//! same delta in place, keeping all snapshots identical.
+//!
+//! The router keeps the stream's [`ServerStats`] itself and counts
+//! through the serving core's record methods, like the sequential server
+//! and the worker pool: a request is counted once every involved shard
+//! answered it (with its submission-to-gather time as latency), an update
+//! once every shard applied it. A request that fails — a dead shard, a
+//! rejected sub-query — counts nothing.
 //!
 //! Shard death is a first-class outcome, not a hang: a broken pipe,
 //! EOF, or corrupt reply marks the shard dead, fails every in-flight
@@ -32,7 +38,7 @@ use snaple_graph::{GraphDelta, GraphStore, VertexId};
 use crate::error::SnapleError;
 use crate::predictor::Prediction;
 use crate::predictor_api::QuerySet;
-use crate::serve::ServerStats;
+use crate::serve::{BatchCost, ServerStats, Serving};
 
 use super::process;
 use super::runtime::{serve_connection, ChannelReader, ChannelWriter};
@@ -105,10 +111,9 @@ impl ShardOptions {
 pub struct ShardOutcome<R> {
     /// The body's return value.
     pub value: R,
-    /// Merged statistics: router-level request/update counts, per-shard
-    /// latency histograms folded with
-    /// [`LatencyHistogram::merge`](crate::serve::LatencyHistogram::merge),
-    /// wall-clock maxima across the concurrently-serving shards.
+    /// The router's statistics: request, query, latency and update
+    /// counts recorded as the fleet answered, plus the deployment's setup
+    /// figures as the shards reported them.
     pub stats: ServerStats,
 }
 
@@ -132,6 +137,25 @@ struct SlotState {
     num_vertices: u64,
     error: Option<SnapleError>,
     done: bool,
+    /// A predict slot's query count and submission time, recorded into
+    /// the router's stats once every involved shard answered; `None` for
+    /// an update slot, which `apply_update` records itself.
+    predict: Option<(usize, Instant)>,
+}
+
+impl SlotState {
+    fn new(waiting: Vec<usize>, predict: Option<(usize, Instant)>) -> Self {
+        SlotState {
+            waiting,
+            rows: Vec::new(),
+            run_stats: Vec::new(),
+            delta_stats: Vec::new(),
+            num_vertices: 0,
+            error: None,
+            done: false,
+            predict,
+        }
+    }
 }
 
 /// One shard's router-side connection: the frame writer (and, for the
@@ -139,16 +163,6 @@ struct SlotState {
 struct ShardConn {
     writer: Mutex<Option<Box<dyn Write + Send>>>,
     child: Mutex<Option<std::process::Child>>,
-}
-
-#[derive(Default)]
-struct Gauges {
-    outstanding: usize,
-    requests: usize,
-    queries_received: usize,
-    updates: usize,
-    edges_inserted: usize,
-    edges_removed: usize,
 }
 
 struct RouterShared {
@@ -160,8 +174,12 @@ struct RouterShared {
     next_id: AtomicU64,
     epoch: AtomicU64,
     pending: Mutex<HashMap<u64, Arc<Slot>>>,
-    gauges: Mutex<Gauges>,
+    /// Scattered requests and updates not yet answered; `idle_cv` waits
+    /// for it to reach zero.
+    outstanding: Mutex<usize>,
     idle_cv: Condvar,
+    /// The stream's statistics, recorded as requests and updates finish.
+    stats: Mutex<ServerStats>,
     /// Per-shard death notice; `Some` permanently fails routing there.
     dead: Mutex<Vec<Option<String>>>,
     /// Per-shard prepare outcome (`Ok(num_vertices)` or the error text).
@@ -208,7 +226,10 @@ impl RouterShared {
             let mut pending = crate::sync::lock(&self.pending);
             let ids: Vec<u64> = pending
                 .iter()
-                .filter(|(_, slot)| crate::sync::lock(&slot.state).waiting.contains(&i))
+                .filter(|(_, slot)| {
+                    let state = crate::sync::lock(&slot.state);
+                    !state.done && state.waiting.contains(&i)
+                })
                 .map(|(&id, _)| id)
                 .collect();
             ids.iter().filter_map(|id| pending.remove(id)).collect()
@@ -224,14 +245,15 @@ impl RouterShared {
             slot.cv.notify_all();
         }
         if n_failed > 0 {
-            let mut gauges = crate::sync::lock(&self.gauges);
-            gauges.outstanding -= n_failed.min(gauges.outstanding);
+            let mut outstanding = crate::sync::lock(&self.outstanding);
+            *outstanding -= n_failed.min(*outstanding);
             self.idle_cv.notify_all();
         }
     }
 
     /// Records shard `i`'s answer for `request_id`; completes the slot
-    /// when it was the last shard owing a reply.
+    /// when it was the last shard owing a reply, counting a completed
+    /// prediction into the router's stats.
     fn complete(
         &self,
         i: usize,
@@ -248,6 +270,11 @@ impl RouterShared {
         };
         let finished = {
             let mut state = crate::sync::lock(&slot.state);
+            if state.done {
+                // A slot finishes once: a reply landing after another
+                // shard's error must not count or release it again.
+                return;
+            }
             state.waiting.retain(|&s| s != i);
             if let Some(e) = error {
                 state.error = Some(e);
@@ -259,14 +286,29 @@ impl RouterShared {
                 }
             }
             if state.done {
+                if let (None, Some((queries, submitted))) = (&state.error, state.predict) {
+                    let cost = BatchCost {
+                        queries_received: queries,
+                        union_queries: queries,
+                        simulated_seconds: RunStats::merged_parallel(state.run_stats.iter())
+                            .map_or(0.0, |s| s.simulated_seconds()),
+                    };
+                    crate::sync::lock(&self.stats)
+                        .record_batch(&cost, [submitted.elapsed().as_secs_f64()]);
+                }
                 slot.cv.notify_all();
             }
             state.done
         };
-        if finished {
-            crate::sync::lock(&self.pending).remove(&request_id);
-            let mut gauges = crate::sync::lock(&self.gauges);
-            gauges.outstanding = gauges.outstanding.saturating_sub(1);
+        // Whoever removes a slot from `pending` releases it, so a slot that
+        // `mark_dead` already failed is not released twice.
+        if finished
+            && crate::sync::lock(&self.pending)
+                .remove(&request_id)
+                .is_some()
+        {
+            let mut outstanding = crate::sync::lock(&self.outstanding);
+            *outstanding = outstanding.saturating_sub(1);
             self.idle_cv.notify_all();
         }
     }
@@ -416,7 +458,10 @@ fn reader_loop<R: Read>(shared: &RouterShared, i: usize, mut stream: R) {
 // ---------------------------------------------------------------------------
 
 /// The scatter-gather front end the [`ShardRouter::run`] body serves
-/// through. Cheap to share across threads (`&self` methods only).
+/// through. Cheap to share across threads (`&self` methods only) and
+/// `Copy`, like the worker pool's
+/// [`ServeHandle`](crate::concurrent::ServeHandle).
+#[derive(Clone, Copy)]
 pub struct RouterHandle<'r> {
     shared: &'r RouterShared,
 }
@@ -456,27 +501,21 @@ impl PendingRows {
             }
             PendingInner::Waiting { slot } => slot,
         };
-        let state = {
+        let (error, gathered, run_stats, num_vertices) = {
             let guard = crate::sync::lock(&slot.state);
-            let mut guard = crate::sync::wait_while(&slot.cv, guard, |s| !s.done);
-            std::mem::replace(
-                &mut *guard,
-                SlotState {
-                    waiting: Vec::new(),
-                    rows: Vec::new(),
-                    run_stats: Vec::new(),
-                    delta_stats: Vec::new(),
-                    num_vertices: 0,
-                    error: None,
-                    done: true,
-                },
+            let mut state = crate::sync::wait_while(&slot.cv, guard, |s| !s.done);
+            (
+                state.error.take(),
+                std::mem::take(&mut state.rows),
+                std::mem::take(&mut state.run_stats),
+                state.num_vertices,
             )
         };
-        if let Some(e) = state.error {
+        if let Some(e) = error {
             return Err(e);
         }
-        let mut rows = vec![Vec::new(); state.num_vertices as usize];
-        for (vertex, preds) in state.rows {
+        let mut rows = vec![Vec::new(); num_vertices as usize];
+        for (vertex, preds) in gathered {
             let preds: Vec<(VertexId, f32)> = preds
                 .into_iter()
                 .map(|(v, s)| (VertexId::new(v), s))
@@ -485,7 +524,7 @@ impl PendingRows {
                 *row = preds;
             }
         }
-        let stats = RunStats::merged_parallel(state.run_stats.iter()).unwrap_or_default();
+        let stats = RunStats::merged_parallel(run_stats.iter()).unwrap_or_default();
         Ok(Prediction::from_parts(rows, stats))
     }
 }
@@ -512,8 +551,9 @@ impl RouterHandle<'_> {
     /// # Errors
     ///
     /// [`SnapleError::ShardFailed`] immediately if a shard the request
-    /// routes to is already dead.
+    /// routes to is already dead; such a request is not counted.
     pub fn submit(&self, queries: &QuerySet) -> Result<PendingRows, SnapleError> {
+        let submitted = Instant::now();
         let shards = self.shared.conns.len();
         let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); shards];
         for q in queries.iter() {
@@ -523,12 +563,9 @@ impl RouterHandle<'_> {
         let involved: Vec<usize> = (0..shards)
             .filter(|&i| buckets.get(i).is_some_and(|b| !b.is_empty()))
             .collect();
-        {
-            let mut gauges = crate::sync::lock(&self.shared.gauges);
-            gauges.requests += 1;
-            gauges.queries_received += queries.len();
-        }
         if involved.is_empty() {
+            // Nothing to scatter: answered on the spot.
+            crate::sync::lock(&self.shared.stats).record_batch(&BatchCost::default(), [0.0]);
             let num_vertices = *crate::sync::lock(&self.shared.num_vertices);
             return Ok(PendingRows {
                 inner: PendingInner::Empty { num_vertices },
@@ -554,20 +591,12 @@ impl RouterHandle<'_> {
             frames.push((i, frame));
         }
         let slot = Arc::new(Slot {
-            state: Mutex::new(SlotState {
-                waiting: involved,
-                rows: Vec::new(),
-                run_stats: Vec::new(),
-                delta_stats: Vec::new(),
-                num_vertices: 0,
-                error: None,
-                done: false,
-            }),
+            state: Mutex::new(SlotState::new(involved, Some((queries.len(), submitted)))),
             cv: Condvar::new(),
         });
         {
             crate::sync::lock(&self.shared.pending).insert(request_id, Arc::clone(&slot));
-            crate::sync::lock(&self.shared.gauges).outstanding += 1;
+            *crate::sync::lock(&self.shared.outstanding) += 1;
         }
         for (i, frame) in &frames {
             // A failed send marks the shard dead, which fails this very
@@ -609,20 +638,12 @@ impl RouterHandle<'_> {
             .encode()
             .map_err(|e| SnapleError::InvalidConfig(format!("encoding delta: {e}")))?;
         let slot = Arc::new(Slot {
-            state: Mutex::new(SlotState {
-                waiting: involved.clone(),
-                rows: Vec::new(),
-                run_stats: Vec::new(),
-                delta_stats: Vec::new(),
-                num_vertices: 0,
-                error: None,
-                done: false,
-            }),
+            state: Mutex::new(SlotState::new(involved.clone(), None)),
             cv: Condvar::new(),
         });
         {
             crate::sync::lock(&self.shared.pending).insert(request_id, Arc::clone(&slot));
-            crate::sync::lock(&self.shared.gauges).outstanding += 1;
+            *crate::sync::lock(&self.shared.outstanding) += 1;
         }
         for &i in &involved {
             let _ = self.shared.send_to(i, &frame);
@@ -643,12 +664,7 @@ impl RouterHandle<'_> {
             merged.touched_partitions = merged.touched_partitions.max(s.touched_partitions);
             merged.apply_wall_seconds = merged.apply_wall_seconds.max(s.apply_wall_seconds);
         }
-        {
-            let mut gauges = crate::sync::lock(&self.shared.gauges);
-            gauges.updates += 1;
-            gauges.edges_inserted += merged.inserted_edges;
-            gauges.edges_removed += merged.removed_edges;
-        }
+        crate::sync::lock(&self.shared.stats).record_update(&merged);
         self.shared.epoch.fetch_add(1, Ordering::Release);
         Ok(merged)
     }
@@ -662,8 +678,8 @@ impl RouterHandle<'_> {
     /// Blocks until no scattered request is outstanding — including when
     /// shards died: their in-flight requests fail, they never linger.
     pub fn drain(&self) {
-        let gauges = crate::sync::lock(&self.shared.gauges);
-        let _unused = crate::sync::wait_while(&self.shared.idle_cv, gauges, |g| g.outstanding > 0);
+        let outstanding = crate::sync::lock(&self.shared.outstanding);
+        let _unused = crate::sync::wait_while(&self.shared.idle_cv, outstanding, |n| *n > 0);
     }
 
     /// Fault-injection hook: hard-kills shard `i` — SIGKILL to the child
@@ -687,6 +703,20 @@ impl RouterHandle<'_> {
     /// for tests and diagnostics.
     pub fn shard_of(&self, vertex: u32) -> usize {
         self.shared.shard_of(vertex)
+    }
+}
+
+impl Serving for RouterHandle<'_> {
+    fn serve_batch(&mut self, requests: &[QuerySet]) -> Result<Vec<Prediction>, SnapleError> {
+        let pending = requests
+            .iter()
+            .map(|q| self.submit(q))
+            .collect::<Result<Vec<_>, _>>()?;
+        pending.into_iter().map(PendingRows::wait).collect()
+    }
+
+    fn apply_update(&mut self, delta: &GraphDelta) -> Result<DeltaStats, SnapleError> {
+        RouterHandle::apply_update(self, delta)
     }
 }
 
@@ -784,8 +814,9 @@ impl ShardRouter {
             next_id: AtomicU64::new(1),
             epoch: AtomicU64::new(0),
             pending: Mutex::new(HashMap::new()),
-            gauges: Mutex::new(Gauges::default()),
+            outstanding: Mutex::new(0),
             idle_cv: Condvar::new(),
+            stats: Mutex::new(ServerStats::default()),
             dead: Mutex::new(vec![None; shards]),
             ready: Mutex::new(vec![None; shards]),
             ready_cv: Condvar::new(),
@@ -862,18 +893,15 @@ impl ShardRouter {
             let _ = t.join();
         }
 
-        // Merge the fleet's statistics.
-        let mut stats = ServerStats::default();
-        for shard_stats in crate::sync::lock(&shared.final_stats).iter().flatten() {
-            stats.merge_parallel(shard_stats);
+        // Every shard prepared the same graph: report the deployment once,
+        // at the slowest shard's partition build.
+        let mut stats = crate::sync::into_inner(shared.stats);
+        for shard in crate::sync::lock(&shared.final_stats).iter().flatten() {
+            stats.partition_build_seconds = stats
+                .partition_build_seconds
+                .max(shard.partition_build_seconds);
+            stats.replication_factor = stats.replication_factor.max(shard.replication_factor);
         }
-        let gauges = crate::sync::into_inner(shared.gauges);
-        stats.requests = gauges.requests;
-        stats.batches = gauges.requests;
-        stats.queries_received = gauges.queries_received;
-        stats.updates = gauges.updates;
-        stats.edges_inserted = gauges.edges_inserted;
-        stats.edges_removed = gauges.edges_removed;
         stats.setup_wall_seconds = setup_wall_seconds;
         stats.serve_wall_seconds = serve_wall_seconds;
         stats.workers = shards;

@@ -29,8 +29,6 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut};
-
 use crate::store::GraphStore;
 use crate::{store, v2, CsrGraph, GraphBuilder, GraphError, VertexId};
 
@@ -159,32 +157,32 @@ pub fn write_binary<W: Write>(graph: &dyn GraphStore, writer: W) -> Result<(), G
 /// Returns [`GraphError::Io`] on write failures.
 pub fn write_binary_v1<W: Write>(graph: &CsrGraph, mut writer: W) -> Result<(), GraphError> {
     let mut header = Vec::with_capacity(MAGIC.len() + 1 + 16);
-    header.put_slice(MAGIC);
-    header.put_u8(if graph.is_weighted() {
+    header.extend_from_slice(MAGIC);
+    header.push(if graph.is_weighted() {
         FLAG_WEIGHTED
     } else {
         0
     });
-    header.put_u64_le(graph.num_vertices() as u64);
-    header.put_u64_le(graph.num_edges() as u64);
+    header.extend_from_slice(&(graph.num_vertices() as u64).to_le_bytes());
+    header.extend_from_slice(&(graph.num_edges() as u64).to_le_bytes());
     writer.write_all(&header)?;
 
     let mut body = Vec::with_capacity(graph.num_edges() * 4 + graph.num_vertices() * 8 + 16);
     let mut offset = 0u64;
-    body.put_u64_le(0);
+    body.extend_from_slice(&0u64.to_le_bytes());
     for u in graph.vertices() {
         offset += graph.out_degree(u) as u64;
-        body.put_u64_le(offset);
+        body.extend_from_slice(&offset.to_le_bytes());
     }
     for u in graph.vertices() {
         for v in graph.out_neighbors(u) {
-            body.put_u32_le(v.as_u32());
+            body.extend_from_slice(&v.as_u32().to_le_bytes());
         }
     }
     if graph.is_weighted() {
         for u in graph.vertices() {
             for &w in graph.out_weights(u).unwrap_or(&[]) {
-                body.put_f32_le(w);
+                body.extend_from_slice(&w.to_le_bytes());
             }
         }
     }
@@ -245,23 +243,30 @@ pub fn open_store(path: &Path) -> Result<Arc<dyn GraphStore>, GraphError> {
     )))
 }
 
+/// Takes the next `N` bytes off the front of `buf`.
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], GraphError> {
+    let (head, rest) = buf
+        .split_first_chunk::<N>()
+        .ok_or_else(|| GraphError::Corrupt("truncated body".into()))?;
+    *buf = rest;
+    Ok(*head)
+}
+
 fn read_binary_v1_bytes(data: &[u8]) -> Result<CsrGraph, GraphError> {
     let mut buf = data;
-    if buf.remaining() < MAGIC.len() + 1 + 16 {
+    if buf.len() < MAGIC.len() + 1 + 16 {
         return Err(GraphError::Corrupt("truncated header".into()));
     }
-    let mut magic = [0u8; 6];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    if &take::<6>(&mut buf)? != MAGIC {
         return Err(GraphError::Corrupt("bad magic".into()));
     }
-    let flags = buf.get_u8();
+    let [flags] = take(&mut buf)?;
     if flags & !FLAG_WEIGHTED != 0 {
         return Err(GraphError::Corrupt(format!("unknown flag bits {flags:#x}")));
     }
     let weighted = flags & FLAG_WEIGHTED != 0;
-    let raw_n = buf.get_u64_le();
-    let raw_m = buf.get_u64_le();
+    let raw_n = u64::from_le_bytes(take(&mut buf)?);
+    let raw_m = u64::from_le_bytes(take(&mut buf)?);
     // Vertex ids are u32: a count beyond u32::MAX + 1 cannot index and
     // would only arise from corruption; rejecting it here keeps the
     // allocation sizing below meaningful.
@@ -279,22 +284,22 @@ fn read_binary_v1_bytes(data: &[u8]) -> Result<CsrGraph, GraphError> {
     // Wide arithmetic so hostile counts cannot overflow the check itself.
     let need =
         (n as u128 + 1) * 8 + (raw_m as u128) * 4 + if weighted { raw_m as u128 * 4 } else { 0 };
-    if (buf.remaining() as u128) < need {
+    if (buf.len() as u128) < need {
         return Err(GraphError::Corrupt(format!(
             "body too short: need {need} bytes, have {}",
-            buf.remaining()
+            buf.len()
         )));
     }
     let mut offsets = Vec::with_capacity(n + 1);
     for _ in 0..=n {
-        offsets.push(buf.get_u64_le() as usize);
+        offsets.push(u64::from_le_bytes(take(&mut buf)?) as usize);
     }
     if offsets[0] != 0 || offsets[n] != m || offsets.windows(2).any(|w| w[0] > w[1]) {
         return Err(GraphError::Corrupt("non-monotonic offsets".into()));
     }
     let mut targets = Vec::with_capacity(m);
     for _ in 0..m {
-        let t = buf.get_u32_le();
+        let t = u32::from_le_bytes(take(&mut buf)?);
         if t as usize >= n {
             return Err(GraphError::VertexOutOfRange {
                 vertex: t,
@@ -306,7 +311,7 @@ fn read_binary_v1_bytes(data: &[u8]) -> Result<CsrGraph, GraphError> {
     let weights = if weighted {
         let mut w = Vec::with_capacity(m);
         for _ in 0..m {
-            w.push(buf.get_f32_le());
+            w.push(f32::from_le_bytes(take(&mut buf)?));
         }
         Some(w)
     } else {
@@ -484,10 +489,10 @@ mod tests {
     /// body.
     fn forged_header(flags: u8, n: u64, m: u64, body_bytes: usize) -> Vec<u8> {
         let mut out = Vec::new();
-        out.put_slice(MAGIC);
-        out.put_u8(flags);
-        out.put_u64_le(n);
-        out.put_u64_le(m);
+        out.extend_from_slice(MAGIC);
+        out.push(flags);
+        out.extend_from_slice(&n.to_le_bytes());
+        out.extend_from_slice(&m.to_le_bytes());
         out.extend(std::iter::repeat_n(0u8, body_bytes));
         out
     }
@@ -518,15 +523,15 @@ mod tests {
     #[test]
     fn binary_rejects_non_monotonic_offsets() {
         let mut out = Vec::new();
-        out.put_slice(MAGIC);
-        out.put_u8(0);
-        out.put_u64_le(2); // 2 vertices
-        out.put_u64_le(2); // 2 edges
-        out.put_u64_le(0);
-        out.put_u64_le(9); // offset beyond the edge count...
-        out.put_u64_le(2);
-        out.put_u32_le(0);
-        out.put_u32_le(1);
+        out.extend_from_slice(MAGIC);
+        out.push(0);
+        out.extend_from_slice(&2u64.to_le_bytes()); // 2 vertices
+        out.extend_from_slice(&2u64.to_le_bytes()); // 2 edges
+        out.extend_from_slice(&0u64.to_le_bytes());
+        out.extend_from_slice(&9u64.to_le_bytes()); // offset beyond the edge count...
+        out.extend_from_slice(&2u64.to_le_bytes());
+        out.extend_from_slice(&0u32.to_le_bytes());
+        out.extend_from_slice(&1u32.to_le_bytes());
         let err = read_binary(&out[..]).unwrap_err();
         assert!(matches!(err, GraphError::Corrupt(_)), "{err}");
     }
@@ -535,13 +540,13 @@ mod tests {
     fn binary_rejects_out_of_range_targets() {
         // Hand-craft: 1 vertex, 1 edge pointing at vertex 5.
         let mut out = Vec::new();
-        out.put_slice(MAGIC);
-        out.put_u8(0);
-        out.put_u64_le(1);
-        out.put_u64_le(1);
-        out.put_u64_le(0);
-        out.put_u64_le(1);
-        out.put_u32_le(5);
+        out.extend_from_slice(MAGIC);
+        out.push(0);
+        out.extend_from_slice(&1u64.to_le_bytes());
+        out.extend_from_slice(&1u64.to_le_bytes());
+        out.extend_from_slice(&0u64.to_le_bytes());
+        out.extend_from_slice(&1u64.to_le_bytes());
+        out.extend_from_slice(&5u32.to_le_bytes());
         let err = read_binary(&out[..]).unwrap_err();
         assert!(matches!(
             err,

@@ -101,8 +101,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "once per stream".into(),
     ]);
     costs.row(vec![
-        "mean serve latency".into(),
-        fmt_millis(stats.mean_latency_seconds()),
+        "p50 serve latency".into(),
+        fmt_millis(stats.latency.p50()),
         "per request".into(),
     ]);
     println!("{}", costs.render());

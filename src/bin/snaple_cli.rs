@@ -38,8 +38,8 @@ use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::sync::Arc;
 
-use snaple::core::concurrent::{ConcurrentOptions, ConcurrentServer, PendingPrediction};
-use snaple::core::serve::Server;
+use snaple::core::concurrent::{ConcurrentOptions, ConcurrentServer, ServeHandle};
+use snaple::core::serve::{Server, Serving};
 use snaple::core::shard::{ShardOptions, ShardRouter, ShardSpec, ShardTransport};
 use snaple::core::store::{Durability, DurabilityOptions, FsyncPolicy, RecoveryReport};
 use snaple::core::{
@@ -1019,361 +1019,160 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     if opts.batch == 0 {
         return Err("--batch must be at least 1".into());
     }
-    if opts.shards.is_some() {
-        return cmd_serve_sharded(opts, graph, &cluster, events);
-    }
-    if opts.workers > 0 {
-        return cmd_serve_concurrent(opts, graph, &cluster, predictor, events, durable, replay);
-    }
-
-    let mut server = Server::new(predictor, graph, &cluster).map_err(|e| e.to_string())?;
-    if let Some(d) = durable {
-        // Fold the recovered log tail back in BEFORE attaching, so the
-        // replayed deltas are not logged a second time.
-        for delta in &replay {
-            server.apply_update(delta).map_err(|e| e.to_string())?;
-        }
-        server.attach_durability(d);
-    }
     let mut out: Box<dyn Write> = match &opts.out {
         Some(p) => Box::new(BufWriter::new(
             File::create(p).map_err(|e| format!("{}: {e}", p.display()))?,
         )),
         None => Box::new(std::io::stdout().lock()),
     };
-    let mut request_idx = 0usize;
-    let mut requests_served = 0usize;
-    let mut pending: Vec<QuerySet> = Vec::new();
-    let flush = |server: &mut Server<'_>,
-                 pending: &mut Vec<QuerySet>,
-                 out: &mut dyn Write,
-                 request_idx: &mut usize|
-     -> Result<(), String> {
-        for chunk in pending.chunks(opts.batch) {
-            let responses = server.serve_batch(chunk).map_err(|e| e.to_string())?;
-            for (request, response) in chunk.iter().zip(&responses) {
-                for q in request.iter() {
-                    for (z, score) in response.for_vertex(q) {
-                        writeln!(
-                            out,
-                            "{}\t{}\t{}\t{score}",
-                            *request_idx,
-                            q.as_u32(),
-                            z.as_u32()
-                        )
-                        .map_err(|e| e.to_string())?;
-                    }
-                }
-                *request_idx += 1;
+    // Only standing the runtime up differs; every runtime then serves the
+    // stream through the same `serve_events` loop, in windows of --batch
+    // requests per worker (or shard).
+    let (served, stats, runtime, bench_name) = if let Some(shards) = opts.shards {
+        let spec = if opts.scores.is_some() {
+            // Validate the plan locally first (nice errors, --alpha
+            // check), then ship the raw spec strings: shards re-parse them.
+            opts.score_plan()?;
+            ShardSpec::Plan {
+                specs: opts
+                    .scores
+                    .as_deref()
+                    .unwrap_or_default()
+                    .split(',')
+                    .map(|s| s.trim().to_string())
+                    .collect(),
+                config: PlanConfig::default()
+                    .k(opts.k)
+                    .klocal(opts.klocal)
+                    .thr_gamma(opts.thr_gamma)
+                    .seed(opts.seed),
             }
+        } else {
+            ShardSpec::Single(opts.snaple_config()?)
+        };
+        let (transport, kind) = if opts.shard_procs {
+            (ShardTransport::Processes, "process")
+        } else {
+            (ShardTransport::Threads, "thread")
+        };
+        let options = ShardOptions::new().shards(shards).transport(transport);
+        let outcome = ShardRouter::run(&spec, graph, &cluster, options, |&(mut handle)| {
+            serve_events(&mut handle, events, opts.batch * shards, &mut *out)
+        })
+        .map_err(|e| e.to_string())?;
+        let runtime = format!(" over {shards} {kind} shard(s)");
+        (
+            outcome.value?,
+            outcome.stats,
+            runtime,
+            "snaple-cli-serve-sharded",
+        )
+    } else if opts.workers > 0 {
+        let options = ConcurrentOptions::default()
+            .workers(opts.workers)
+            .batch(opts.batch);
+        let body = |mut handle: ServeHandle<'_, '_>| {
+            serve_events(&mut handle, events, opts.batch * opts.workers, &mut *out)
+        };
+        let outcome = match durable {
+            Some(d) => {
+                // Prepare explicitly so the recovered log tail folds in
+                // BEFORE the store attaches (replays are already logged —
+                // they must not log twice).
+                let mut prepared = predictor
+                    .prepare(&PrepareRequest::new(graph, &cluster))
+                    .map_err(|e| e.to_string())?;
+                for delta in &replay {
+                    prepared.apply_delta(delta).map_err(|e| e.to_string())?;
+                }
+                ConcurrentServer::run_prepared_durable(prepared, options, d, body)
+            }
+            None => ConcurrentServer::run(predictor, graph, &cluster, options, body),
         }
-        pending.clear();
-        Ok(())
+        .map_err(|e| e.to_string())?;
+        let bench_name = "snaple-cli-serve-concurrent";
+        (outcome.value?, outcome.stats, String::new(), bench_name)
+    } else {
+        let mut server = Server::new(predictor, graph, &cluster).map_err(|e| e.to_string())?;
+        if let Some(d) = durable {
+            // Fold the recovered log tail back in BEFORE attaching, so the
+            // replayed deltas are not logged a second time.
+            for delta in &replay {
+                server.apply_update(delta).map_err(|e| e.to_string())?;
+            }
+            server.attach_durability(d);
+        }
+        let served = serve_events(&mut server, events, opts.batch, &mut *out)?;
+        server.sync_durability().map_err(|e| e.to_string())?;
+        (
+            served,
+            server.stats().clone(),
+            String::new(),
+            "snaple-cli-serve",
+        )
     };
-    for event in events {
-        match event {
-            ServeEvent::Predict(q) => {
-                requests_served += 1;
-                pending.push(q);
-                if pending.len() >= opts.batch {
-                    flush(&mut server, &mut pending, &mut *out, &mut request_idx)?;
-                }
-            }
-            ServeEvent::Update(delta) => {
-                // Updates are serialization points: everything queued
-                // before the update sees the old graph, everything after
-                // sees the new one.
-                flush(&mut server, &mut pending, &mut *out, &mut request_idx)?;
-                let applied = server.apply_update(&delta).map_err(|e| e.to_string())?;
-                eprintln!(
-                    "applied update: +{} -{} edges (+{} vertices), \
-                     {} partitions touched, {:.2} ms",
-                    applied.inserted_edges,
-                    applied.removed_edges,
-                    applied.grown_vertices,
-                    applied.touched_partitions,
-                    applied.apply_wall_seconds * 1e3,
-                );
-            }
-        }
-    }
-    flush(&mut server, &mut pending, &mut *out, &mut request_idx)?;
     out.flush().map_err(|e| e.to_string())?;
-    server.sync_durability().map_err(|e| e.to_string())?;
-    let stats = server.stats();
     eprintln!(
-        "served {requests_served} requests on {} ({} cores): {}",
+        "served {served} requests{runtime} on {} ({} cores): {}",
         cluster.name,
         cluster.total_cores(),
         stats.summary()
     );
-    stats.write_bench_json("snaple-cli-serve");
+    stats.write_bench_json(bench_name);
     Ok(())
 }
 
-/// The `--workers N` serve path: the same event stream through the
-/// [`ConcurrentServer`] worker pool. Predictions are submitted without
-/// waiting (workers coalesce up to `--batch` queued requests per run);
-/// updates drain the queue first — so the output ordering matches the
-/// sequential server — and then swap in the post-delta epoch.
-fn cmd_serve_concurrent(
-    opts: &Options,
-    graph: &dyn GraphStore,
-    cluster: &ClusterSpec,
-    predictor: &dyn Predictor,
+/// The serve loop every runtime runs: answers predictions in windows of
+/// `window` requests and writes their rows as `request source target
+/// score` TSV in stream order. An update is a serialization point: the
+/// window before it is answered on the old graph, everything after it on
+/// the new one — so every runtime writes byte-identical TSV.
+fn serve_events(
+    runtime: &mut impl Serving,
     events: Vec<ServeEvent>,
-    durable: Option<Durability>,
-    replay: Vec<GraphDelta>,
-) -> Result<(), String> {
-    let mut out: Box<dyn Write> = match &opts.out {
-        Some(p) => Box::new(BufWriter::new(
-            File::create(p).map_err(|e| format!("{}: {e}", p.display()))?,
-        )),
-        None => Box::new(std::io::stdout().lock()),
-    };
-    let options = ConcurrentOptions::default()
-        .workers(opts.workers)
-        .batch(opts.batch);
-    /// Writes one redeemed response as TSV rows.
-    fn write_response(
-        out: &mut dyn Write,
-        request_idx: usize,
-        request: &QuerySet,
-        result: Result<snaple::core::Prediction, snaple::core::SnapleError>,
-    ) -> Result<(), String> {
-        let response = result.map_err(|e| e.to_string())?;
-        for q in request.iter() {
-            for (z, score) in response.for_vertex(q) {
-                writeln!(
-                    out,
-                    "{request_idx}\t{}\t{}\t{score}",
-                    q.as_u32(),
-                    z.as_u32()
-                )
-                .map_err(|e| e.to_string())?;
-            }
-        }
-        Ok(())
-    }
-
-    let body = |handle: snaple::core::ServeHandle<'_, '_>| {
-        // Responses are redeemed and written incrementally, in submission
-        // order, so memory holds only the outstanding window (bounded by
-        // the submission queue) plus head-of-line completions — never the
-        // whole stream's predictions at once.
-        let mut pending: std::collections::VecDeque<(QuerySet, PendingPrediction)> =
-            std::collections::VecDeque::new();
-        let mut request_idx = 0usize;
-        let mut served = 0usize;
-        let mut drain_pending =
-            |pending: &mut std::collections::VecDeque<(QuerySet, PendingPrediction)>,
-             request_idx: &mut usize,
-             all: bool|
-             -> Result<(), String> {
-                while let Some((request, ticket)) = pending.pop_front() {
-                    if all {
-                        write_response(&mut *out, *request_idx, &request, ticket.wait())?;
-                    } else {
-                        match ticket.try_wait() {
-                            Ok(result) => {
-                                write_response(&mut *out, *request_idx, &request, result)?;
-                            }
-                            Err(ticket) => {
-                                pending.push_front((request, ticket));
-                                break;
-                            }
-                        }
-                    }
-                    *request_idx += 1;
+    window: usize,
+    out: &mut dyn Write,
+) -> Result<usize, String> {
+    let mut pending: Vec<QuerySet> = Vec::with_capacity(window);
+    let mut served = 0usize;
+    let mut epoch = 0u64;
+    let mut events = events.into_iter().peekable();
+    while let Some(event) = events.next() {
+        let update = match event {
+            ServeEvent::Predict(q) => {
+                pending.push(q);
+                if pending.len() < window && events.peek().is_some() {
+                    continue;
                 }
-                Ok(())
-            };
-        for event in events {
-            match event {
-                ServeEvent::Predict(q) => {
-                    let ticket = handle.submit(&q).map_err(|e| e.to_string())?;
-                    pending.push_back((q, ticket));
-                    served += 1;
-                    // Opportunistically flush responses that are already
-                    // done (in order) while the stream keeps flowing.
-                    drain_pending(&mut pending, &mut request_idx, false)?;
-                }
-                ServeEvent::Update(delta) => {
-                    // Keep the sequential server's ordering contract:
-                    // everything submitted before the update completes on
-                    // the old epoch, everything after sees the new one.
-                    handle.drain();
-                    drain_pending(&mut pending, &mut request_idx, true)?;
-                    let applied = handle.apply_update(&delta).map_err(|e| e.to_string())?;
-                    eprintln!(
-                        "applied update (epoch {}): +{} -{} edges (+{} vertices), \
-                         {} partitions touched, {:.2} ms",
-                        handle.epoch(),
-                        applied.inserted_edges,
-                        applied.removed_edges,
-                        applied.grown_vertices,
-                        applied.touched_partitions,
-                        applied.apply_wall_seconds * 1e3,
-                    );
-                }
+                None
             }
-        }
-        drain_pending(&mut pending, &mut request_idx, true)?;
-        Ok::<usize, String>(served)
-    };
-    let outcome = match durable {
-        Some(d) => {
-            // Durable run: prepare explicitly so the recovered log tail
-            // folds in BEFORE the store attaches (replays are already
-            // logged — they must not log twice).
-            let mut prepared = predictor
-                .prepare(&PrepareRequest::new(graph, cluster))
-                .map_err(|e| e.to_string())?;
-            for delta in &replay {
-                prepared.apply_delta(delta).map_err(|e| e.to_string())?;
-            }
-            ConcurrentServer::run_prepared_durable(prepared, options, d, body)
-                .map_err(|e| e.to_string())?
-        }
-        None => ConcurrentServer::run(predictor, graph, cluster, options, body)
-            .map_err(|e| e.to_string())?,
-    };
-    let requests_served = outcome.value?;
-    out.flush().map_err(|e| e.to_string())?;
-    eprintln!(
-        "served {requests_served} requests on {} ({} cores): {}",
-        cluster.name,
-        cluster.total_cores(),
-        outcome.stats.summary()
-    );
-    outcome
-        .stats
-        .write_bench_json("snaple-cli-serve-concurrent");
-    Ok(())
-}
-
-/// The `--shards N` serve path: the same event stream through the
-/// scatter-gather [`ShardRouter`]. Each prediction is scattered to the
-/// shards owning its queried vertices and submitted without waiting;
-/// updates drain the in-flight window first — preserving the sequential
-/// server's output ordering — and then broadcast the delta to every
-/// shard as a local epoch swap. Rows (and therefore the TSV output) are
-/// bit-identical to the sequential and `--workers` paths.
-fn cmd_serve_sharded(
-    opts: &Options,
-    graph: &dyn GraphStore,
-    cluster: &ClusterSpec,
-    events: Vec<ServeEvent>,
-) -> Result<(), String> {
-    let spec = if opts.scores.is_some() {
-        // Validate the plan locally first (nice errors, --alpha check),
-        // then ship the raw spec strings: shards re-parse them.
-        opts.score_plan()?;
-        ShardSpec::Plan {
-            specs: opts
-                .scores
-                .as_deref()
-                .unwrap_or_default()
-                .split(',')
-                .map(|s| s.trim().to_string())
-                .collect(),
-            config: PlanConfig::default()
-                .k(opts.k)
-                .klocal(opts.klocal)
-                .thr_gamma(opts.thr_gamma)
-                .seed(opts.seed),
-        }
-    } else {
-        ShardSpec::Single(opts.snaple_config()?)
-    };
-    let mut out: Box<dyn Write> = match &opts.out {
-        Some(p) => Box::new(BufWriter::new(
-            File::create(p).map_err(|e| format!("{}: {e}", p.display()))?,
-        )),
-        None => Box::new(std::io::stdout().lock()),
-    };
-    let transport = if opts.shard_procs {
-        ShardTransport::Processes
-    } else {
-        ShardTransport::Threads
-    };
-    let options = ShardOptions::new()
-        .shards(opts.shards.unwrap_or(1))
-        .transport(transport);
-
-    let outcome = ShardRouter::run(&spec, graph, cluster, options, |handle| {
-        let mut window: Vec<(QuerySet, snaple::core::shard::PendingRows)> = Vec::new();
-        let mut request_idx = 0usize;
-        let mut served = 0usize;
-        let mut flush = |window: &mut Vec<(QuerySet, snaple::core::shard::PendingRows)>,
-                         request_idx: &mut usize|
-         -> Result<(), String> {
-            for (request, pending) in window.drain(..) {
-                let response = pending.wait().map_err(|e| e.to_string())?;
-                for q in request.iter() {
-                    for (z, score) in response.for_vertex(q) {
-                        writeln!(
-                            out,
-                            "{request_idx}\t{}\t{}\t{score}",
-                            q.as_u32(),
-                            z.as_u32()
-                        )
-                        .map_err(|e| e.to_string())?;
-                    }
-                }
-                *request_idx += 1;
-            }
-            Ok(())
+            ServeEvent::Update(delta) => Some(delta),
         };
-        for event in events {
-            match event {
-                ServeEvent::Predict(q) => {
-                    let pending = handle.submit(&q).map_err(|e| e.to_string())?;
-                    window.push((q, pending));
-                    served += 1;
-                    if window.len() >= opts.batch {
-                        flush(&mut window, &mut request_idx)?;
-                    }
-                }
-                ServeEvent::Update(delta) => {
-                    // Serialization point, as on every other path: the
-                    // in-flight window completes on the old epoch before
-                    // any shard swaps to the new one.
-                    flush(&mut window, &mut request_idx)?;
-                    let applied = handle.apply_update(&delta).map_err(|e| e.to_string())?;
-                    eprintln!(
-                        "applied update (epoch {}): +{} -{} edges, \
-                         {} partitions touched, {:.2} ms",
-                        handle.epoch(),
-                        applied.inserted_edges,
-                        applied.removed_edges,
-                        applied.touched_partitions,
-                        applied.apply_wall_seconds * 1e3,
-                    );
+        let responses = runtime.serve_batch(&pending).map_err(|e| e.to_string())?;
+        for (request, response) in pending.drain(..).zip(responses) {
+            for q in request.iter() {
+                for (z, score) in response.for_vertex(q) {
+                    writeln!(out, "{served}\t{}\t{}\t{score}", q.as_u32(), z.as_u32())
+                        .map_err(|e| e.to_string())?;
                 }
             }
+            served += 1;
         }
-        flush(&mut window, &mut request_idx)?;
-        handle.drain();
-        Ok::<usize, String>(served)
-    })
-    .map_err(|e| e.to_string())?;
-    let requests_served = outcome.value?;
-    out.flush().map_err(|e| e.to_string())?;
-    eprintln!(
-        "served {requests_served} requests over {} {} shard(s) on {} ({} cores): {}",
-        opts.shards.unwrap_or(1),
-        if opts.shard_procs {
-            "process"
-        } else {
-            "thread"
-        },
-        cluster.name,
-        cluster.total_cores(),
-        outcome.stats.summary()
-    );
-    outcome.stats.write_bench_json("snaple-cli-serve-sharded");
-    Ok(())
+        if let Some(delta) = update {
+            let applied = runtime.apply_update(&delta).map_err(|e| e.to_string())?;
+            epoch += 1;
+            eprintln!(
+                "applied update (epoch {epoch}): +{} -{} edges (+{} vertices), \
+                 {} partitions touched, {:.2} ms",
+                applied.inserted_edges,
+                applied.removed_edges,
+                applied.grown_vertices,
+                applied.touched_partitions,
+                applied.apply_wall_seconds * 1e3,
+            );
+        }
+    }
+    Ok(served)
 }
 
 /// `sweep` — evaluate a whole score plan under the hold-out protocol in

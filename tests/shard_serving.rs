@@ -16,8 +16,12 @@
 //!    [`SnapleError::ShardFailed`] on the requests routed to it (never a
 //!    hang and never a router crash), the surviving shards keep serving,
 //!    and [`RouterHandle::drain`] still completes.
+//! 4. **One stats ledger** — the router counts a stream exactly as the
+//!    sequential [`Server`] and the worker pool do, and a request that
+//!    fails with `ShardFailed` counts nothing.
 
 use snaple::core::concurrent::{ConcurrentOptions, ConcurrentServer};
+use snaple::core::serve::{Server, Serving};
 use snaple::core::shard::{ShardOptions, ShardRouter, ShardSpec, ShardTransport};
 use snaple::core::{
     ExecuteRequest, NamedScore, PlanConfig, Prediction, Predictor, PrepareRequest, QuerySet,
@@ -110,8 +114,8 @@ fn sharded_rows_are_bit_identical_for_every_shard_count_and_transport() {
             }
             assert_eq!(outcome.stats.requests, requests.len());
             assert_eq!(outcome.stats.workers, shards);
-            // One shard-side latency sample per (request, involved
-            // shard) pair — at least one per request.
+            // The router records one submission-to-gather latency
+            // sample per answered request.
             assert!(outcome.stats.latency.count() as usize >= requests.len());
         }
     }
@@ -408,4 +412,76 @@ fn empty_query_sets_answer_without_touching_any_shard() {
         .value
         .for_vertex(snaple::graph::VertexId::new(v))
         .is_empty()));
+}
+
+#[test]
+fn every_runtime_counts_the_same_stream_the_same_way() {
+    // One request-and-update stream through the sequential server, the
+    // worker pool and a thread-transport router: all three count through
+    // the serving core's record methods, so their counters agree — and a
+    // request the router fails with ShardFailed is not counted.
+    let (graph, cluster) = setup();
+    let snaple = Snaple::new(config());
+    let n = graph.num_vertices() as u32;
+    let requests: Vec<QuerySet> = (0..6)
+        .map(|seed| QuerySet::sample(graph.num_vertices(), 10 + seed as usize, seed))
+        .collect();
+    let mut second = GraphDelta::new();
+    second.insert(4, n - 2).insert(n - 5, 9);
+    let deltas = [churn(&graph), second];
+    let drive = |runtime: &mut dyn Serving| {
+        for (batch, delta) in requests.chunks(3).zip(&deltas) {
+            runtime.serve_batch(batch).unwrap();
+            runtime.apply_update(delta).unwrap();
+        }
+    };
+
+    let mut server = Server::new(&snaple, &graph, &cluster).unwrap();
+    drive(&mut server);
+    let sequential = server.stats().clone();
+
+    let pool = ConcurrentServer::run(
+        &snaple,
+        &graph,
+        &cluster,
+        ConcurrentOptions::default().workers(2),
+        |mut handle| drive(&mut handle),
+    )
+    .unwrap()
+    .stats;
+
+    let router = ShardRouter::run(
+        &ShardSpec::Single(config()),
+        &graph,
+        &cluster,
+        options(2, ShardTransport::Threads),
+        |&(mut handle)| {
+            drive(&mut handle);
+            let victim = 1usize;
+            let v_dead = (0..n).find(|&v| handle.shard_of(v) == victim).unwrap();
+            handle.kill_shard(victim);
+            let err = handle.serve(&QuerySet::from_indices([v_dead])).unwrap_err();
+            assert!(matches!(err, SnapleError::ShardFailed { .. }), "{err}");
+        },
+    )
+    .unwrap()
+    .stats;
+
+    assert_eq!(sequential.requests, requests.len());
+    assert_eq!(sequential.updates, deltas.len());
+    assert!(sequential.delta_touched_partitions > 0);
+    for (runtime, stats) in [("pool", &pool), ("router", &router)] {
+        assert_eq!(stats.requests, sequential.requests, "{runtime}");
+        assert_eq!(
+            stats.queries_received, sequential.queries_received,
+            "{runtime}"
+        );
+        assert_eq!(stats.updates, sequential.updates, "{runtime}");
+        assert_eq!(stats.edges_inserted, sequential.edges_inserted, "{runtime}");
+        assert_eq!(stats.edges_removed, sequential.edges_removed, "{runtime}");
+        assert_eq!(
+            stats.delta_touched_partitions, sequential.delta_touched_partitions,
+            "{runtime}"
+        );
+    }
 }
